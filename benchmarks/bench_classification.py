@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.apps import KNNClassifier
 from repro.data import load_labeled
+from repro.kinds import IndexKind
 from repro.reduction import APCA, PAA, SAPLAReducer
 
 from conftest import publish_table
@@ -25,7 +26,9 @@ def test_classification_across_methods(benchmark, config, bench_report):
                 length=min(config.length, 256),
             )
             for reducer_cls in (SAPLAReducer, APCA, PAA):
-                report = KNNClassifier(reducer_cls(12), k=1, index="dbch").evaluate(dataset)
+                report = KNNClassifier(
+                    reducer_cls(12), k=1, index=IndexKind.DBCH
+                ).evaluate(dataset)
                 rows.append(
                     {
                         "dataset": name,

@@ -10,6 +10,7 @@ fraction of the pages a full scan touches.
 import numpy as np
 
 from repro.bench.harness import ExperimentConfig
+from repro.kinds import IndexKind
 from repro.reduction import PAA, SAPLAReducer
 from repro.storage import DiskBackedDatabase
 
@@ -38,7 +39,7 @@ def test_pruning_is_disk_io(benchmark, config, tmp_path_factory, bench_report):
     ):
         for reducer_cls in (SAPLAReducer, PAA):
             db = DiskBackedDatabase(
-                reducer_cls(12), tmp / f"{reducer_cls.name}.bin", index="dbch",
+                reducer_cls(12), tmp / f"{reducer_cls.name}.bin", index=IndexKind.DBCH,
                 page_size=1024, cache_pages=4,
             )
             db.ingest(dataset.data)
@@ -66,6 +67,6 @@ def test_pruning_is_disk_io(benchmark, config, tmp_path_factory, bench_report):
         assert row["page_fraction"] <= row["pruning_power"] * 1.5 + 0.05
         assert row["page_fraction"] < 1.0
 
-    db = DiskBackedDatabase(SAPLAReducer(12), tmp / "bench.bin", index="dbch")
+    db = DiskBackedDatabase(SAPLAReducer(12), tmp / "bench.bin", index=IndexKind.DBCH)
     db.ingest(dataset.data)
     benchmark(db.knn, dataset.queries[0], 4)

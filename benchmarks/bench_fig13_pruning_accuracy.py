@@ -61,6 +61,6 @@ def test_fig13_pruning_and_accuracy(benchmark, config, index_grid, publish_trial
     publish_trial("fig13_pruning_accuracy", trial, report, derived, elapsed)
 
     # benchmark kernel: one DBCH k-NN query
-    db = SeriesDatabase(SAPLAReducer(config.coefficients[0]), index="dbch")
+    db = SeriesDatabase(SAPLAReducer(config.coefficients[0]), index=IndexKind.DBCH)
     db.ingest(dataset.data)
     benchmark(db.knn, dataset.queries[0], config.ks[0])

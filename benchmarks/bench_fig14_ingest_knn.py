@@ -8,6 +8,7 @@ tight Dist_PAR bounds are costlier per candidate.
 
 from repro.bench import summarise_ingest_knn
 from repro.index import SeriesDatabase
+from repro.kinds import IndexKind
 from repro.reduction import SAPLAReducer
 
 from conftest import publish_table
@@ -45,11 +46,11 @@ def test_fig14_ingest_and_knn_time(benchmark, config, index_grid, bench_report):
         coefficients=config.coefficients[0],
     ):
         instrumented = SeriesDatabase(
-            SAPLAReducer(config.coefficients[0]), index="dbch"
+            SAPLAReducer(config.coefficients[0]), index=IndexKind.DBCH
         )
         instrumented.ingest(dataset.data)
         for query in dataset.queries:
             instrumented.knn(query, config.ks[0])
 
-    db = SeriesDatabase(SAPLAReducer(config.coefficients[0]), index="dbch")
+    db = SeriesDatabase(SAPLAReducer(config.coefficients[0]), index=IndexKind.DBCH)
     benchmark(db.ingest, dataset.data)

@@ -10,6 +10,7 @@ import pytest
 
 from repro.bench import summarise_tree_shape
 from repro.index import SeriesDatabase
+from repro.kinds import IndexKind
 from repro.reduction import SAPLAReducer
 
 from conftest import publish_table
@@ -40,6 +41,6 @@ def test_fig15_16_tree_shape(benchmark, config, index_grid, bench_report):
         assert by[(method, "dbch")]["height"] <= by[(method, "rtree")]["height"] + 1
 
     dataset = next(config.datasets())
-    db = SeriesDatabase(SAPLAReducer(config.coefficients[0]), index="dbch")
+    db = SeriesDatabase(SAPLAReducer(config.coefficients[0]), index=IndexKind.DBCH)
     db.ingest(dataset.data)
     benchmark(db.tree.node_counts)

@@ -12,6 +12,7 @@ import numpy as np
 from repro.bench.harness import ExperimentConfig
 from repro.data import z_normalize
 from repro.index import ISAXIndex, SeriesDatabase
+from repro.kinds import IndexKind
 from repro.reduction import SAX
 
 from conftest import publish_table
@@ -25,7 +26,7 @@ def _run_isax_comparison(cfg, rows):
         isax = ISAXIndex(n_segments=12, leaf_capacity=5)
         isax.ingest(data)
         databases = {}
-        for kind in ("rtree", "dbch"):
+        for kind in (IndexKind.RTREE, IndexKind.DBCH):
             db = SeriesDatabase(SAX(12), index=kind)
             db.ingest(data)
             databases[kind] = db

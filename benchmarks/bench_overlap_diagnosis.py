@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.bench.harness import ExperimentConfig
 from repro.index import SeriesDatabase, dbch_overlap, leaf_fill, rtree_overlap
+from repro.kinds import IndexKind
 from repro.reduction import REDUCERS
 
 from conftest import publish_table
@@ -32,9 +33,9 @@ def test_overlap_diagnosis(benchmark, config, bench_report):
         for method in METHODS:
             reducer = REDUCERS[method](12)
             reps = [reducer.transform(s) for s in dataset.data]
-            db_r = SeriesDatabase(reducer, index="rtree")
+            db_r = SeriesDatabase(reducer, index=IndexKind.RTREE)
             db_r.ingest(dataset.data, representations=reps)
-            db_d = SeriesDatabase(reducer, index="dbch")
+            db_d = SeriesDatabase(reducer, index=IndexKind.DBCH)
             db_d.ingest(dataset.data, representations=reps)
             rows.append(
                 {
@@ -59,6 +60,6 @@ def test_overlap_diagnosis(benchmark, config, bench_report):
     assert adaptive >= equal - 0.05
 
     reducer = REDUCERS["SAPLA"](12)
-    db = SeriesDatabase(reducer, index="rtree")
+    db = SeriesDatabase(reducer, index=IndexKind.RTREE)
     db.ingest(dataset.data)
     benchmark(rtree_overlap, db.tree)

@@ -11,6 +11,7 @@ import numpy as np
 from repro.bench.harness import ExperimentConfig
 from repro.data import query_workload
 from repro.index import SeriesDatabase
+from repro.kinds import IndexKind
 from repro.reduction import SAPLAReducer
 
 from conftest import publish_table
@@ -27,7 +28,7 @@ def test_robustness_under_perturbations(benchmark, config, bench_report):
         n_queries=3,
     )
     dataset = next(cfg.datasets())
-    db = SeriesDatabase(SAPLAReducer(12), index="dbch")
+    db = SeriesDatabase(SAPLAReducer(12), index=IndexKind.DBCH)
     db.ingest(dataset.data)
 
     rows = []

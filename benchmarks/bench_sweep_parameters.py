@@ -11,6 +11,7 @@ import numpy as np
 from repro.bench import run_index_grid
 from repro.bench.harness import ExperimentConfig
 from repro.distance import dist_par
+from repro.kinds import IndexKind
 from repro.reduction import SAPLAReducer
 
 from conftest import publish_table
@@ -85,7 +86,7 @@ def test_sweep_bulk_vs_incremental(benchmark, config, bench_report):
     dataset = next(archive_cfg.datasets())
     rows = []
     with bench_report("sweep_bulk", rows=rows):
-        for index_kind in ("rtree", "dbch"):
+        for index_kind in (IndexKind.RTREE, IndexKind.DBCH):
             for bulk in (False, True):
                 db = SeriesDatabase(SAPLAReducer(12), index=index_kind)
                 reps = [db.reducer.transform(s) for s in dataset.data]
@@ -113,6 +114,6 @@ def test_sweep_bulk_vs_incremental(benchmark, config, bench_report):
             <= by[(index_kind, "incremental")]["total_nodes"]
         )
 
-    db = SeriesDatabase(SAPLAReducer(12), index="rtree")
+    db = SeriesDatabase(SAPLAReducer(12), index=IndexKind.RTREE)
     reps = [db.reducer.transform(s) for s in dataset.data]
     benchmark(db.ingest, dataset.data, representations=reps, bulk=True)

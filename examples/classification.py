@@ -10,6 +10,7 @@ Run with ``python examples/classification.py``.
 
 from repro.apps import KNNClassifier
 from repro.data import load_labeled
+from repro.kinds import IndexKind
 from repro.reduction import APCA, PAA, SAPLAReducer
 
 
@@ -28,7 +29,9 @@ def main():
     print("-" * len(header))
     for reducer_cls in (SAPLAReducer, APCA, PAA):
         for k in (1, 3):
-            report = KNNClassifier(reducer_cls(12), k=k, index="dbch").evaluate(dataset)
+            report = KNNClassifier(
+                reducer_cls(12), k=k, index=IndexKind.DBCH
+            ).evaluate(dataset)
             print(
                 f"{reducer_cls.name:<8} {k:>3} {report.accuracy:>9.2f} "
                 f"{report.mean_pruning_power:>13.2f}"

@@ -11,6 +11,7 @@ import time
 
 from repro.data import UCRLikeArchive
 from repro.index import SeriesDatabase
+from repro.kinds import IndexKind
 from repro.reduction import SAPLAReducer
 
 
@@ -22,7 +23,7 @@ def main():
 
     k = 8
     databases = {}
-    for index_kind in ("rtree", "dbch"):
+    for index_kind in (IndexKind.RTREE, IndexKind.DBCH):
         db = SeriesDatabase(SAPLAReducer(12), index=index_kind)
         started = time.process_time()
         db.ingest(dataset.data)

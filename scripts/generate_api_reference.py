@@ -74,51 +74,16 @@ def render_module(module_name: str) -> "list[str]":
     return lines
 
 
-#: Legacy entry point -> facade replacement, rendered as the migration
-#: table at the top of the reference.  Every row's legacy form still works
-#: but emits a single-shot DeprecationWarning pointing at the replacement.
-MIGRATION_ROWS = [
-    (
-        "`repro.knn(database, query, k=...)`",
-        "`repro.client.connect(database).knn(KnnRequest(query, k=k))`",
-    ),
-    (
-        "`QueryEngine(database)`",
-        "`database.engine()` or `repro.client.connect(database)`",
-    ),
-    (
-        "`repro.io.save_database(database, directory)`",
-        "`database.save(directory)`",
-    ),
-    (
-        "`repro.io.load_database(directory)`",
-        "`repro.client.connect(directory)` "
-        "(or `repro.io.open_database` for engine-level access)",
-    ),
-    (
-        "ad-hoc multi-process serving scripts",
-        "`repro serve` / `repro.client.connect(\"tcp://host:port\")` "
-        "(see [docs/serving.md](serving.md))",
-    ),
-]
-
-
-def migration_table() -> "list[str]":
-    lines = [
-        "## Migrating to the `repro.client` facade",
+def entry_point_note() -> "list[str]":
+    return [
+        "## Entry point",
         "",
         "`repro.client.connect(...)` is the one entry point for queries; it",
         "returns the same typed `KnnRequest`/`RangeRequest`/`QueryResult`",
         "API over an in-process database, a saved directory, a sharded home,",
-        "or a running `repro serve` TCP server.  Legacy call sites keep",
-        "working but warn once per process:",
+        "or a running `repro serve` TCP server (see [serving.md](serving.md)).",
         "",
-        "| Deprecated | Use instead |",
-        "| --- | --- |",
     ]
-    lines += [f"| {old} | {new} |" for old, new in MIGRATION_ROWS]
-    lines.append("")
-    return lines
 
 
 def main() -> None:
@@ -129,7 +94,7 @@ def main() -> None:
         "changing any public signature or docstring.",
         "",
     ]
-    lines += migration_table()
+    lines += entry_point_note()
     module_names = sorted(
         name
         for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro.")

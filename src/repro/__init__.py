@@ -15,8 +15,7 @@ The most-used entry points are re-exported here::
 
 Query access goes through the :mod:`repro.client` facade —
 ``connect(path_or_url_or_db)`` returns one typed client for the in-process
-engine, a sharded home or a running ``repro serve`` endpoint.  The free
-:func:`knn` function remains as a deprecated single-query shim over it.
+engine, a sharded home or a running ``repro serve`` endpoint.
 """
 
 from .core import SAPLA, LinearSegmentation, Segment, StreamingSAPLA, sapla_transform
@@ -27,24 +26,6 @@ from .kinds import DistanceMode, IndexKind
 from .lifecycle.wal import DurabilityOptions, FsyncPolicy
 
 __version__ = "1.0.0"
-
-
-def knn(database, query, k: int = 1):
-    """Deprecated free-function k-NN — the original pre-engine entry point.
-
-    Routes through the :mod:`repro.client` facade and returns one
-    :class:`repro.client.QueryResult`.  Use
-    ``connect(database).knn(KnnRequest(query, k=k))`` directly instead.
-    """
-    from ._deprecations import warn_once
-    from .client import KnnRequest, connect
-
-    warn_once(
-        "knn",
-        "repro.knn(...) is deprecated; use "
-        "repro.client.connect(database).knn(KnnRequest(query, k=k)) instead",
-    )
-    return connect(database).knn(KnnRequest(queries=query, k=k))[0]
 
 
 __all__ = [
@@ -63,6 +44,5 @@ __all__ = [
     "QueryOptions",
     "BatchResult",
     "ExecutionMode",
-    "knn",
     "__version__",
 ]

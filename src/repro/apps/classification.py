@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class KNNClassifier:
         self,
         reducer: Reducer,
         k: int = 1,
-        index: "Union[IndexKind, str, None]" = IndexKind.DBCH,
+        index: "Optional[IndexKind]" = IndexKind.DBCH,
         metric: str = "euclidean",
         band: "int | None" = None,
     ):

@@ -10,7 +10,7 @@ hits are de-duplicated to the locally best offset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class SubsequenceIndex:
         window: int,
         stride: int = 1,
         reducer: "Optional[Reducer]" = None,
-        index: "Union[IndexKind, str, None]" = IndexKind.DBCH,
+        index: "Optional[IndexKind]" = IndexKind.DBCH,
     ):
         if window < 2:
             raise ValueError("window must be >= 2")

@@ -51,7 +51,6 @@ import numpy as np
 
 from .. import obs
 from ..apps.windows import sliding_windows, windows_overlap
-from ..distance.euclidean import euclidean
 from ..engine.options import QueryOptions
 from .anomaly import OnlineDiscordScorer
 from .queries import (
@@ -415,10 +414,7 @@ class ContinuousEvaluator:
             ]
         if isinstance(query, RangeWatch):
             obs.count("continuous.delta_evals")
-            # range_query verifies with euclidean() (sqrt of a dot product),
-            # a different float reduction than the knn batch primitive —
-            # bit-identity to a scratch range run needs the same one
-            d = euclidean(series, np.asarray(query.query, dtype=float))
+            d = _distance(series, query.query)
             if d > query.radius:
                 return []
             runtime.pairs = sorted(runtime.pairs + [(d, gid)])

@@ -16,16 +16,15 @@ indexing needs:
   aligned equal-length methods (PLA, PAA, PAALM) admit a stacked layout;
   adaptive-length methods fall back to the scalar bound.
 
-``mode`` arguments accept :class:`repro.kinds.DistanceMode` (preferred) or
-the legacy strings ``'par'`` / ``'lb'`` / ``'ae'`` with a
-``DeprecationWarning``; unknown values raise immediately at suite-build time
-rather than deep inside the first query.
+``mode`` arguments take a :class:`repro.kinds.DistanceMode`; anything else
+raises immediately at suite-build time rather than deep inside the first
+query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -107,16 +106,16 @@ def _aligned_bound_batch(ctx: QueryContext, stacked: "tuple") -> np.ndarray:
 
 
 def make_suite(
-    reducer: Reducer, mode: "Union[DistanceMode, str]" = DistanceMode.PAR
+    reducer: Reducer, mode: DistanceMode = DistanceMode.PAR
 ) -> DistanceSuite:
     """Build the distance suite for ``reducer``.
 
     ``mode`` selects the adaptive-method query bound: :class:`DistanceMode`
     members (``PAR`` — Dist_PAR, the paper's tight measure; ``LB`` —
     Dist_LB, the unconditional lower bound; ``AE`` — Dist_AE, tight but not
-    lower-bounding) or their legacy string spellings (deprecated).
-    Equal-length and symbolic methods ignore ``mode``.  Validation is eager:
-    an unknown mode raises here, never mid-query.
+    lower-bounding).  Equal-length and symbolic methods ignore ``mode``.
+    Validation is eager: anything but a :class:`DistanceMode` raises here,
+    never mid-query.
     """
     mode = coerce_distance_mode(mode)
     name = reducer.name

@@ -1,4 +1,4 @@
-"""The batched k-NN query engine.
+"""The batched query engine: k-NN batches and range queries.
 
 :class:`QueryEngine.knn_batch` plans every query of a batch up front (one
 :mod:`state machine <repro.engine.states>` each), then advances all of them
@@ -13,17 +13,22 @@ inside a batch, or inside a worker process (``parallelism > 1``).
 Deadlines are checked between rounds: when the batch's ``deadline_s``
 expires, the remaining queries finalise with their best-so-far neighbours
 and are reported in :attr:`BatchResult.timed_out`.
+
+:meth:`QueryEngine.range_query` drives the same state machines with a
+fixed-radius result collector, so k-NN and range share one best-first
+loop, one verification primitive and one snapshot pin.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from typing import List, Optional
 
 import numpy as np
 
 from .. import obs
-from ..index.knn import record_search
+from ..index.knn import KNNResult, TopK, Within, record_search
 from .options import BatchResult, ExecutionMode, QueryOptions
 from .parallel import run_parallel
 from .states import gather_rows, make_state
@@ -40,24 +45,12 @@ class QueryEngine:
 
     The engine is stateless between calls; it reads the database's entries,
     tree and distance suite at call time, so ingest/insert/delete between
-    batches are picked up automatically.
-
-    Constructing an engine directly is deprecated: reach one through the
-    :mod:`repro.client` facade (``connect(database)``), or via
-    ``database.engine()`` / ``snapshot.engine()`` for engine-level access.
-    Direct construction still works but emits a single-shot
-    ``DeprecationWarning`` per process.
+    batches are picked up automatically.  Reach one through
+    ``database.engine()`` / ``snapshot.engine()``, or query through the
+    :mod:`repro.client` facade (``connect(database)``).
     """
 
-    def __init__(self, database, *, _internal: bool = False):
-        if not _internal:
-            from .._deprecations import warn_once
-
-            warn_once(
-                "QueryEngine",
-                "constructing QueryEngine(database) directly is deprecated; use "
-                "repro.client.connect(database) or database.engine() instead",
-            )
+    def __init__(self, database):
         self.database = database
 
     def knn_batch(
@@ -75,28 +68,21 @@ class QueryEngine:
         queries = np.asarray(queries, dtype=float)
         if queries.ndim != 2:
             raise ValueError("knn_batch expects a (Q, n) array of queries")
-        # Pin a snapshot so concurrent inserts/deletes never shift the
-        # entry list or tree under a batch mid-flight; plain databases
-        # (no lifecycle mixin) run unpinned as before.
-        snapshot_fn = getattr(self.database, "snapshot", None)
-        db = snapshot_fn() if callable(snapshot_fn) else self.database
-        pinned = db is not self.database
         start = time.perf_counter()
-        try:
-            with obs.span("engine.knn_batch"):
-                results, timed_out, rounds, used_workers = self._dispatch(
-                    db, queries, options
-                )
-                for result in results:
-                    record_search(result, db.suite.mode)
-                if obs.is_enabled():
-                    obs.count("engine.batches")
-                    obs.count("engine.rounds", rounds)
-                    obs.count("engine.pairs_verified", sum(r.n_verified for r in results))
-                    obs.observe("engine.batch_size", len(queries))
-                    obs.gauge_set("engine.parallelism", used_workers)
-                    if timed_out:
-                        obs.count("engine.timeouts", len(timed_out))
+        with self._pinned() as db, obs.span("engine.knn_batch"):
+            results, timed_out, rounds, used_workers = self._dispatch(
+                db, queries, options
+            )
+            for result in results:
+                record_search(result, db.suite.mode)
+            if obs.is_enabled():
+                obs.count("engine.batches")
+                obs.count("engine.rounds", rounds)
+                obs.count("engine.pairs_verified", sum(r.n_verified for r in results))
+                obs.observe("engine.batch_size", len(queries))
+                obs.gauge_set("engine.parallelism", used_workers)
+                if timed_out:
+                    obs.count("engine.timeouts", len(timed_out))
             return BatchResult(
                 results=results,
                 timed_out=sorted(timed_out),
@@ -105,8 +91,43 @@ class QueryEngine:
                 parallelism=used_workers,
                 generation=getattr(db, "generation", None),
             )
+
+    def range_query(self, query: np.ndarray, radius: float) -> KNNResult:
+        """Every series within Euclidean ``radius`` of ``query``, best first.
+
+        Runs on the same state machines as :meth:`knn_batch` with a
+        fixed-radius :class:`~repro.index.knn.Within` collector in place of
+        the k-NN heap: candidates whose bound exceeds ``radius`` are pruned,
+        and every survivor is verified in one round of the same row-wise
+        matrix norm, so hit distances equal :func:`repro.index.linear_scan`'s
+        bit for bit.  Hits rank by ``(distance, series id)``.
+        """
+        if self.database.data is None:
+            raise RuntimeError("ingest data before searching")
+        query = np.asarray(query, dtype=float)
+        if query.ndim != 1:
+            raise ValueError("range_query expects a single (n,) query series")
+        with self._pinned() as db:
+            state = make_state(
+                db, query, Within(radius), lookahead=1, use_batch_bounds=True
+            )
+            self._execute(db, [state], query[None, :], deadline=None)
+            return state.finalize()
+
+    @contextmanager
+    def _pinned(self):
+        """Yield a pinned snapshot of the database for one call.
+
+        Pinning keeps concurrent inserts/deletes from shifting the entry
+        list or tree under a query mid-flight; plain databases (no
+        lifecycle mixin) are yielded unpinned.
+        """
+        snapshot_fn = getattr(self.database, "snapshot", None)
+        db = snapshot_fn() if callable(snapshot_fn) else self.database
+        try:
+            yield db
         finally:
-            if pinned:
+            if db is not self.database:
                 db.release()
 
     # ------------------------------------------------------------------
@@ -129,7 +150,7 @@ class QueryEngine:
             make_state(
                 db,
                 query,
-                options.k,
+                TopK(options.k),
                 options.lookahead,
                 use_batch_bounds=True,
                 cascade=options.cascade,
@@ -147,7 +168,7 @@ class QueryEngine:
             state = make_state(
                 db,
                 queries[index],
-                options.k,
+                TopK(options.k),
                 options.lookahead,
                 use_batch_bounds=False,
                 cascade=options.cascade,
@@ -221,7 +242,7 @@ class QueryEngine:
             and len(all_sids) * queries.shape[1] >= EARLY_ABANDON_MIN_ELEMENTS
         ):
             thresholds = np.array(
-                [states[index].topk.threshold for index in owners], dtype=float
+                [states[index].collector.threshold for index in owners], dtype=float
             )
             if np.isfinite(thresholds).any():
                 filtered = self._abandoning_distances(

@@ -10,11 +10,18 @@ call; because every decision a state makes depends only on its own
 accumulated state, a batch member answers exactly as the same query would
 alone.
 
-The verification budget is ``k`` on the first advance (the first ``k``
-survivors are always verified — the result heap is not full yet, so no
-stop rule can fire between them) and ``lookahead`` (default 1) afterwards,
-which reproduces the classic one-candidate-at-a-time refinement loop and
-its verification counts exactly.
+Each state collects its answer in a result collector: a :class:`TopK`
+heap for k-NN, or a fixed-radius :class:`Within` set for range queries.
+The search only reads the collector's ``full`` flag and ``threshold``, so
+both query kinds share one best-first loop.
+
+The verification budget is the collector's ``k`` on the first advance (the
+first ``k`` survivors are always verified — the result heap is not full
+yet, so no stop rule can fire between them) and ``lookahead`` (default 1)
+afterwards, which reproduces the classic one-candidate-at-a-time
+refinement loop and its verification counts exactly.  A range collector's
+``k`` is unbounded, so a range query emits every survivor in its first
+advance.
 """
 
 from __future__ import annotations
@@ -24,10 +31,62 @@ from typing import List
 
 import numpy as np
 
-from ..index.knn import KNNResult, TopK, _Frontier
+from ..index.entries import Entry
+from ..index.knn import KNNResult
 from ..kinds import IndexKind
 
 __all__ = ["ScanState", "TreeState", "make_state", "gather_rows"]
+
+
+class _Frontier:
+    """Best-first priority queue mixing index nodes and leaf entries.
+
+    Items sort by distance with a monotonically increasing tick as the
+    tie-break, so equal-distance items pop in insertion order and payloads
+    never need to be comparable.  Push counts per kind feed the search
+    accounting (heap pushes, nodes/candidates pruned).
+
+    Cascaded searches push items *unrefined* (kinds ``"uentry"`` /
+    ``"unode"``) keyed by a cheap dominated bound, then :meth:`reinsert`
+    them with the exact key **and the original tick** once they reach the
+    front.  Reinsertion advances neither the tick nor the push counters, so
+    the pop sequence of refined items — and every counter — is identical to
+    a search that pushed exact keys from the start.
+    """
+
+    __slots__ = ("_heap", "_tick", "node_pushes", "entry_pushes")
+
+    def __init__(self):
+        self._heap: list = []
+        self._tick = 0
+        self.node_pushes = 0
+        self.entry_pushes = 0
+
+    def push_node(self, distance: float, node, refined: bool = True) -> None:
+        self.node_pushes += 1
+        self._push(distance, "node" if refined else "unode", node)
+
+    def push_entry(self, bound: float, entry: Entry, refined: bool = True) -> None:
+        self.entry_pushes += 1
+        self._push(bound, "entry" if refined else "uentry", entry)
+
+    def _push(self, key: float, kind: str, payload) -> None:
+        self._tick += 1
+        heapq.heappush(self._heap, (key, self._tick, kind, payload))
+
+    def pop(self) -> "tuple[float, int, str, object]":
+        return heapq.heappop(self._heap)
+
+    def reinsert(self, key: float, tick: int, kind: str, payload) -> None:
+        """Re-queue a popped item at its exact key, keeping its tick."""
+        heapq.heappush(self._heap, (key, tick, kind, payload))
+
+    @property
+    def pushes(self) -> int:
+        return self.node_pushes + self.entry_pushes
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
 
 
 def gather_rows(data, series_ids: "List[int]") -> np.ndarray:
@@ -56,14 +115,13 @@ def _query_cascade(db, ctx):
 
 
 class _QueryState:
-    """Common machinery: the result heap, budget schedule and accounting."""
+    """Common machinery: the result collector, budget schedule and accounting."""
 
-    def __init__(self, db, query: np.ndarray, k: int, lookahead: int):
+    def __init__(self, db, query: np.ndarray, collector, lookahead: int):
         self.db = db
         self.query = query
         self.ctx = db.query_context(query)
-        self.topk = TopK(k)
-        self.k = k
+        self.collector = collector
         self.lookahead = lookahead
         self.verified = 0
         self.done = False
@@ -73,14 +131,14 @@ class _QueryState:
         """Series ids to verify this round (may set :attr:`done`)."""
         if self.done:
             return []
-        budget = self.k if self._advances == 0 else self.lookahead
+        budget = self.collector.k if self._advances == 0 else self.lookahead
         self._advances += 1
         return self._collect(budget)
 
     def feed(self, series_ids: "List[int]", distances: np.ndarray) -> None:
         """Absorb the exact distances for the ids the last advance emitted."""
         for sid, dist in zip(series_ids, distances):
-            self.topk.offer(float(dist), int(sid))
+            self.collector.offer(float(dist), int(sid))
         self.verified += len(series_ids)
 
     def _collect(self, budget: int) -> "List[int]":
@@ -91,7 +149,7 @@ class _QueryState:
         raise NotImplementedError
 
     def _ranked(self) -> "tuple[List[int], List[float]]":
-        ranked = self.topk.ranked()
+        ranked = self.collector.ranked()
         return [sid for _, sid in ranked], [d for d, _ in ranked]
 
 
@@ -101,8 +159,8 @@ class ScanState(_QueryState):
     Bounds come from the suite's stacked batch bound when available (one
     NumPy pass over all entries) and otherwise from the scalar
     ``query_bound`` loop; candidates are ordered by ``(bound, series id)``
-    and consumed until the next bound strictly exceeds the k-th best true
-    distance.
+    and consumed until the next bound strictly exceeds the collector's
+    threshold (the k-th best true distance, or a range query's radius).
 
     Without a stacked layout (adaptive representations, or the sequential
     baseline) the scalar loop is the dominant query cost, so that case runs
@@ -118,12 +176,12 @@ class ScanState(_QueryState):
         self,
         db,
         query,
-        k: int,
+        collector,
         lookahead: int,
         use_batch_bounds: bool,
         cascade: bool = True,
     ):
-        super().__init__(db, query, k, lookahead)
+        super().__init__(db, query, collector, lookahead)
         self._lazy = None
         self._qc = None
         stacked = db.stacked_entries() if use_batch_bounds else None
@@ -165,7 +223,8 @@ class ScanState(_QueryState):
             return self._collect_lazy(budget)
         pending: "List[int]" = []
         while len(pending) < budget and self._pos < len(self._sids):
-            if self.topk.full and self._bounds[self._pos] > self.topk.threshold:
+            bound = self._bounds[self._pos]
+            if self.collector.full and bound > self.collector.threshold:
                 self.done = True
                 return pending
             pending.append(int(self._sids[self._pos]))
@@ -179,7 +238,7 @@ class ScanState(_QueryState):
         heap, qc = self._lazy, self._qc
         while len(pending) < budget and heap:
             key, sid, refined, rep = heap[0]
-            if self.topk.full and key > self.topk.threshold:
+            if self.collector.full and key > self.collector.threshold:
                 # Cheap keys are dominated: the heap minimum already above
                 # the threshold means every exact bound still queued is too
                 # — exactly when the eager loop's next bound would stop it.
@@ -216,7 +275,7 @@ class TreeState(_QueryState):
     The priority queue mixes *nodes* (keyed by index-structure distance)
     and *entries* (keyed by the method's representation bound); an entry
     reaching the queue front is emitted for verification only while its
-    bound does not strictly exceed the k-th best true distance.  Pruning
+    bound does not strictly exceed the collector's threshold.  Pruning
     power then reflects exactly the tightness of the method's bound plus
     the index's navigation quality.
 
@@ -228,8 +287,8 @@ class TreeState(_QueryState):
     identical to the single-bound walk.
     """
 
-    def __init__(self, db, query, k: int, lookahead: int, cascade: bool = True):
-        super().__init__(db, query, k, lookahead)
+    def __init__(self, db, query, collector, lookahead: int, cascade: bool = True):
+        super().__init__(db, query, collector, lookahead)
         self.frontier = _Frontier()
         self.visited = 0
         self._qc = _query_cascade(db, self.ctx) if cascade else None
@@ -244,7 +303,7 @@ class TreeState(_QueryState):
         db, frontier, qc = self.db, self.frontier, self._qc
         while len(pending) < budget and frontier:
             dist, tick, kind, payload = frontier.pop()
-            if self.topk.full and dist > self.topk.threshold:
+            if self.collector.full and dist > self.collector.threshold:
                 if not self._hint_nodes:
                     self.done = True
                     return pending
@@ -301,12 +360,16 @@ class TreeState(_QueryState):
 def make_state(
     db,
     query: np.ndarray,
-    k: int,
+    collector,
     lookahead: int,
     use_batch_bounds: bool,
     cascade: bool = True,
 ):
-    """The right state machine for ``db``'s index configuration."""
+    """The right state machine for ``db``'s index configuration.
+
+    ``collector`` is a fresh :class:`~repro.index.knn.TopK` (k-NN) or
+    :class:`~repro.index.knn.Within` (range query) the state fills.
+    """
     if db.tree is None:
-        return ScanState(db, query, k, lookahead, use_batch_bounds, cascade)
-    return TreeState(db, query, k, lookahead, cascade)
+        return ScanState(db, query, collector, lookahead, use_batch_bounds, cascade)
+    return TreeState(db, query, collector, lookahead, cascade)

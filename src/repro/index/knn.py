@@ -8,24 +8,26 @@ is the paper's pruning power (Eq. (14)); comparing returned neighbours with
 a linear scan gives the accuracy (Eq. (15)).
 
 Query execution itself lives in :mod:`repro.engine`; :meth:`SeriesDatabase.knn`
-is a thin single-query wrapper over :meth:`repro.engine.QueryEngine.knn_batch`,
-so sequential and batched answers are identical by construction.  This module
-keeps the shared building blocks: the :class:`_Frontier` priority queue, the
-:class:`TopK` result heap whose ``(distance, series id)`` tie-break makes the
-tree search agree with :func:`linear_scan` on equal distances, and the
-:func:`record_search` accounting shared by every execution path.
+and :meth:`SeriesDatabase.range_query` are thin wrappers over
+:meth:`repro.engine.QueryEngine.knn_batch` and
+:meth:`~repro.engine.QueryEngine.range_query`, so sequential and batched
+answers are identical by construction.  This module keeps the shared
+building blocks: the :class:`TopK` result heap whose ``(distance, series
+id)`` tie-break makes the tree search agree with :func:`linear_scan` on
+equal distances, its fixed-radius counterpart :class:`Within` that range
+queries search with, and the :func:`record_search` accounting shared by
+every execution path.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
 from .. import obs
-from ..distance.euclidean import euclidean
 from ..distance.suite import ADAPTIVE_METHODS, QueryContext, make_suite
 from ..kinds import DistanceMode, IndexKind, coerce_index_kind
 from ..lifecycle.snapshot import MutableDatabase
@@ -36,7 +38,14 @@ from .entries import Entry
 from .mbr import feature_vector, feature_weights
 from .rtree import RTree
 
-__all__ = ["KNNResult", "SeriesDatabase", "TopK", "linear_scan", "record_search"]
+__all__ = [
+    "KNNResult",
+    "SeriesDatabase",
+    "TopK",
+    "Within",
+    "linear_scan",
+    "record_search",
+]
 
 _INF = float("inf")
 
@@ -45,57 +54,6 @@ _STACK_UNAVAILABLE = object()
 
 #: rows per block when a ground-truth scan streams a disk-resident view
 _SCAN_BLOCK_ROWS = 512
-
-
-class _Frontier:
-    """Best-first priority queue mixing index nodes and leaf entries.
-
-    Items sort by distance with a monotonically increasing tick as the
-    tie-break, so equal-distance items pop in insertion order and payloads
-    never need to be comparable.  Push counts per kind feed the search
-    accounting (heap pushes, nodes/candidates pruned).
-
-    Cascaded searches push items *unrefined* (kinds ``"uentry"`` /
-    ``"unode"``) keyed by a cheap dominated bound, then :meth:`reinsert`
-    them with the exact key **and the original tick** once they reach the
-    front.  Reinsertion advances neither the tick nor the push counters, so
-    the pop sequence of refined items — and every counter — is identical to
-    a search that pushed exact keys from the start.
-    """
-
-    __slots__ = ("_heap", "_tick", "node_pushes", "entry_pushes")
-
-    def __init__(self):
-        self._heap: list = []
-        self._tick = 0
-        self.node_pushes = 0
-        self.entry_pushes = 0
-
-    def push_node(self, distance: float, node, refined: bool = True) -> None:
-        self.node_pushes += 1
-        self._push(distance, "node" if refined else "unode", node)
-
-    def push_entry(self, bound: float, entry: Entry, refined: bool = True) -> None:
-        self.entry_pushes += 1
-        self._push(bound, "entry" if refined else "uentry", entry)
-
-    def _push(self, key: float, kind: str, payload) -> None:
-        self._tick += 1
-        heapq.heappush(self._heap, (key, self._tick, kind, payload))
-
-    def pop(self) -> "tuple[float, int, str, object]":
-        return heapq.heappop(self._heap)
-
-    def reinsert(self, key: float, tick: int, kind: str, payload) -> None:
-        """Re-queue a popped item at its exact key, keeping its tick."""
-        heapq.heappush(self._heap, (key, tick, kind, payload))
-
-    @property
-    def pushes(self) -> int:
-        return self.node_pushes + self.entry_pushes
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
 
 class TopK:
@@ -138,6 +96,35 @@ class TopK:
     def ranked(self) -> "list[tuple[float, int]]":
         """Retained ``(distance, series_id)`` pairs, best first."""
         return sorted((-neg_d, -neg_sid) for neg_d, neg_sid in self._heap)
+
+
+class Within:
+    """Fixed-threshold result set: every verified pair within ``radius``.
+
+    The range-query counterpart of :class:`TopK`, driven by the same search
+    states.  It is always :attr:`full` and its :attr:`threshold` is the
+    radius, so a search stops exactly where the next bound exceeds
+    ``radius``.  Its capacity ``k`` is unbounded: the first advance emits
+    every survivor, and one verification round resolves them all.
+    """
+
+    __slots__ = ("threshold", "_hits")
+
+    k = _INF
+    full = True
+
+    def __init__(self, radius: float):
+        self.threshold = radius
+        self._hits: "list[tuple[float, int]]" = []
+
+    def offer(self, distance: float, series_id: int) -> None:
+        """Keep one verified candidate if it lies within the radius."""
+        if distance <= self.threshold:
+            self._hits.append((distance, series_id))
+
+    def ranked(self) -> "list[tuple[float, int]]":
+        """Retained ``(distance, series_id)`` pairs, best first."""
+        return sorted(self._hits)
 
 
 @dataclass
@@ -232,12 +219,10 @@ class SeriesDatabase(MutableDatabase):
         reducer: the dimensionality reduction method for this database.
         index: an :class:`repro.IndexKind` — ``DBCH`` (the paper's
             structure), ``RTREE`` (baseline) or ``NONE``/``None`` (filter
-            every representation linearly, no tree).  The legacy strings
-            ``'dbch'`` / ``'rtree'`` / ``'none'`` still work but emit a
-            ``DeprecationWarning``.
+            every representation linearly, no tree).  Plain strings are
+            rejected with an error naming the member to use.
         distance_mode: adaptive-method query-bound mode, a
-            :class:`repro.DistanceMode` (see :func:`repro.distance.make_suite`);
-            legacy strings are coerced with a ``DeprecationWarning``.
+            :class:`repro.DistanceMode` (see :func:`repro.distance.make_suite`).
         max_entries / min_entries: node fill factors (paper uses 5 / 2).
 
     The database is mutable and snapshot-consistent: ``insert``/``delete``
@@ -249,8 +234,8 @@ class SeriesDatabase(MutableDatabase):
     def __init__(
         self,
         reducer: Reducer,
-        index: "Union[IndexKind, str, None]" = IndexKind.DBCH,
-        distance_mode: "Union[DistanceMode, str]" = DistanceMode.PAR,
+        index: "Optional[IndexKind]" = IndexKind.DBCH,
+        distance_mode: DistanceMode = DistanceMode.PAR,
         max_entries: int = 5,
         min_entries: int = 2,
     ):
@@ -426,7 +411,7 @@ class SeriesDatabase(MutableDatabase):
         if self._engine is None:
             from ..engine import QueryEngine
 
-            self._engine = QueryEngine(self, _internal=True)
+            self._engine = QueryEngine(self)
         return self._engine
 
     def cascade(self):
@@ -738,104 +723,18 @@ class SeriesDatabase(MutableDatabase):
     def range_query(self, query: np.ndarray, radius: float) -> KNNResult:
         """All series within Euclidean ``radius`` of ``query`` (filter-and-refine).
 
-        Candidates whose representation bound exceeds ``radius`` are pruned;
-        survivors are verified on raw data.  With a tree index the search
-        runs through the same best-first frontier as :meth:`knn` — whole
-        subtrees whose node distance exceeds ``radius`` are never expanded,
-        and the accounting (nodes visited, heap pushes, candidates) feeds
-        the same pruning statistics.  With a guaranteed lower bound
-        (``DistanceMode.LB`` for adaptive methods, or any equal-length
-        method) the result is exact.
-
-        When the method has a :class:`repro.distance.BoundCascade` tier the
-        search evaluates the cheap dominated bound first and only refines
-        to the exact bound on demand; dominated keys plus tick-preserving
-        reinsertion keep the hits, the verified set and every counter
-        identical to the single-bound search (see :mod:`repro.distance.cascade`).
+        A thin wrapper over :meth:`repro.engine.QueryEngine.range_query`:
+        the search runs on the same state machines, verification primitive
+        and snapshot pin as :meth:`knn`.  Candidates whose representation
+        bound exceeds ``radius`` are pruned and survivors are verified on
+        raw data.  With a guaranteed lower bound (``DistanceMode.LB`` for
+        adaptive methods, or any equal-length method) the result is exact.
         """
         if self.data is None:
             raise RuntimeError("ingest data before searching")
         if radius < 0:
             raise ValueError("radius must be non-negative")
-        query = np.asarray(query, dtype=float)
-        ctx = self.query_context(query)
-        qc = self.cascade().for_query(ctx)
-        hits: "List[tuple[float, int]]" = []
-        verified = 0
-        nodes_visited = 0
-        if self.tree is None:
-            node_pushes = heap_pushes = 0
-            n_candidates = len(self.entries)
-            for entry in self.entries:
-                if qc is not None:
-                    if qc.cheap(entry.representation) > radius:
-                        continue  # cheap key ≤ exact bound, so the exact bound prunes too
-                    if qc.refine(entry.representation) > radius:
-                        continue
-                elif self.suite.query_bound(ctx, entry.representation) > radius:
-                    continue
-                true = euclidean(query, self.data[entry.series_id])
-                verified += 1
-                if true <= radius:
-                    hits.append((true, entry.series_id))
-        else:
-            use_node_tier = qc is not None and self.index_kind == IndexKind.DBCH
-            exact_nodes = self.node_bounds_exact
-            frontier = _Frontier()
-            frontier.push_node(self.node_distance(ctx, self.tree.root), self.tree.root)
-            while frontier:
-                key, tick, kind, payload = frontier.pop()
-                if key > radius:
-                    if exact_nodes:
-                        break  # best-first: everything still queued is further out
-                    if kind in ("entry", "uentry"):
-                        continue  # entry bounds stay exact; node keys are hints
-                if kind == "uentry":
-                    frontier.reinsert(qc.refine(payload.representation), tick, "entry", payload)
-                    continue
-                if kind == "unode":
-                    qc.n_node_refine += 1
-                    frontier.reinsert(self.node_distance(ctx, payload), tick, "node", payload)
-                    continue
-                if kind == "entry":
-                    true = euclidean(query, self.data[payload.series_id])
-                    verified += 1
-                    if true <= radius:
-                        hits.append((true, payload.series_id))
-                    continue
-                nodes_visited += 1
-                if payload.is_leaf:
-                    for entry in payload.entries:
-                        if qc is not None:
-                            frontier.push_entry(
-                                qc.cheap(entry.representation), entry, refined=False
-                            )
-                        else:
-                            frontier.push_entry(
-                                self.suite.query_bound(ctx, entry.representation), entry
-                            )
-                else:
-                    for child in payload.children:
-                        if use_node_tier:
-                            frontier.push_node(qc.node_lower(child), child, refined=False)
-                        else:
-                            frontier.push_node(self.node_distance(ctx, child), child)
-            n_candidates = frontier.entry_pushes
-            node_pushes = frontier.node_pushes
-            heap_pushes = frontier.pushes
-        if qc is not None:
-            qc.flush()
-        hits.sort()
-        return KNNResult(
-            ids=[sid for _, sid in hits],
-            distances=[d for d, _ in hits],
-            n_verified=verified,
-            n_total=len(self.entries),
-            nodes_visited=nodes_visited,
-            n_candidates=n_candidates,
-            node_pushes=node_pushes,
-            heap_pushes=heap_pushes,
-        )
+        return self.engine().range_query(np.asarray(query, dtype=float), radius)
 
     # ------------------------------------------------------------------
     def query_context(self, query: np.ndarray) -> QueryContext:

@@ -1,11 +1,10 @@
 """Persistence: JSON codecs for representations, npz for datasets, and
 directory-based round trips for whole similarity databases.
 
-The documented database surface is ``database.save(directory)`` plus
-:func:`open_database`; ``save_database``/``load_database`` are deprecated
-aliases kept for pre-engine callers."""
+The database surface is ``database.save(directory)`` plus
+:func:`open_database`."""
 
-from .database import load_database, open_database, save_database
+from .database import open_database
 from .serialization import (
     from_jsonable,
     load_dataset,
@@ -23,6 +22,4 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "open_database",
-    "save_database",
-    "load_database",
 ]

@@ -10,9 +10,6 @@ next to the config instead.  Both store the representations as
 ``representations.json`` so loading re-indexes without re-reducing (tree
 structures rebuild deterministically and cheaply relative to the reduction
 pass they skip).
-
-The pre-engine entry points :func:`save_database` / :func:`load_database`
-remain as thin deprecated aliases.
 """
 
 from __future__ import annotations
@@ -24,13 +21,12 @@ from typing import Union
 
 import numpy as np
 
-from .._deprecations import warn_once
 from ..index.knn import SeriesDatabase
 from ..kinds import DistanceMode, IndexKind
 from ..reduction import REDUCERS
 from .serialization import from_jsonable, to_jsonable
 
-__all__ = ["open_database", "save_database", "load_database"]
+__all__ = ["open_database"]
 
 PathLike = Union[str, pathlib.Path]
 
@@ -174,31 +170,3 @@ def open_database(directory: PathLike, durability=None):
             WriteAheadLog.open(wal_path, durability or DurabilityOptions())
         )
     return database
-
-
-def save_database(database: SeriesDatabase, directory: PathLike) -> None:
-    """Deprecated alias — use ``database.save(directory)``.
-
-    Warns once per process (see :mod:`repro._deprecations`).
-    """
-    warn_once(
-        "save_database",
-        "save_database is deprecated; use database.save(directory)",
-    )
-    database.save(directory)
-
-
-def load_database(directory: PathLike) -> SeriesDatabase:
-    """Deprecated alias — use :func:`repro.client.connect` or :func:`open_database`.
-
-    Routes through the :mod:`repro.client` facade (so sharded homes resolve
-    too) and returns the backing database object.  Warns once per process.
-    """
-    from ..client import connect
-
-    warn_once(
-        "load_database",
-        "load_database is deprecated; use repro.client.connect(directory) "
-        "(or repro.io.open_database for engine-level access)",
-    )
-    return connect(directory).database

@@ -1,23 +1,21 @@
 """Typed constructor vocabulary: index kinds and adaptive distance modes.
 
-Historically :class:`repro.index.SeriesDatabase` took stringly-typed
-``index="dbch"`` / ``distance_mode="par"`` arguments, and a typo surfaced only
-deep inside the first query.  The enums here are the typed replacements:
 ``IndexKind`` names the index structures the paper evaluates and
 ``DistanceMode`` the adaptive-method query bounds (paper Sec. 6).  Both are
-``str`` subclasses, so existing comparisons against the old literals keep
-working and the values serialise unchanged into ``config.json``.
+``str`` subclasses, so they compare equal to their values and serialise
+unchanged into ``config.json``.
 
-Plain strings are still accepted everywhere — the coercers below translate
-them eagerly (raising on unknown values instead of failing mid-query) and
-emit a :class:`DeprecationWarning` steering callers to the enums.
+Constructors take the enums only: the coercers below reject plain strings
+with an error naming the enum member to use, so a typo or a stringly-typed
+call site fails at construction, never deep inside the first query.
+Boundaries that parse text (the CLI, saved configs, experiment specs)
+convert with ``IndexKind(value)`` / ``DistanceMode(value)`` themselves.
 """
 
 from __future__ import annotations
 
-import warnings
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 __all__ = ["IndexKind", "DistanceMode", "coerce_index_kind", "coerce_distance_mode"]
 
@@ -53,58 +51,40 @@ class DistanceMode(str, Enum):
         return self.value
 
 
-def coerce_index_kind(value: "Union[IndexKind, str, None]") -> "Optional[IndexKind]":
+def _enum_hint(enum, value) -> str:
+    """How to spell ``value`` as a member of ``enum``, for error messages."""
+    try:
+        return f"use repro.{enum.__name__}.{enum(value).name}"
+    except ValueError:
+        return f"expected one of {[f'{enum.__name__}.{m.name}' for m in enum]}"
+
+
+def coerce_index_kind(value: "Optional[IndexKind]") -> "Optional[IndexKind]":
     """Normalise an index argument to an :class:`IndexKind` (or ``None``).
 
     ``None`` and ``IndexKind.NONE`` both mean "no tree" and normalise to
-    ``None``.  Plain strings are accepted for backwards compatibility but
-    emit a :class:`DeprecationWarning`; unknown values raise ``ValueError``
-    immediately instead of at query time.
+    ``None``.  Anything else — plain strings included — raises
+    ``ValueError`` immediately instead of at query time.
     """
-    if value is None:
+    if value is None or value is IndexKind.NONE:
         return None
     if isinstance(value, IndexKind):
-        return None if value is IndexKind.NONE else value
-    if isinstance(value, str):
-        try:
-            kind = IndexKind(value)
-        except ValueError:
-            raise ValueError(
-                f"unknown index kind: {value!r} (expected one of "
-                f"{[k.value for k in IndexKind]} or None)"
-            ) from None
-        warnings.warn(
-            f"passing index={value!r} as a string is deprecated; "
-            f"use repro.IndexKind.{kind.name}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return None if kind is IndexKind.NONE else kind
-    raise ValueError(f"unknown index kind: {value!r}")
+        return value
+    raise ValueError(
+        f"index must be a repro.IndexKind or None, got {value!r}: "
+        f"{_enum_hint(IndexKind, value)}"
+    )
 
 
-def coerce_distance_mode(value: "Union[DistanceMode, str]") -> DistanceMode:
-    """Normalise a distance-mode argument to a :class:`DistanceMode`.
+def coerce_distance_mode(value: DistanceMode) -> DistanceMode:
+    """Check that a distance-mode argument is a :class:`DistanceMode`.
 
-    Plain strings are accepted but deprecated; unknown values raise
-    ``ValueError`` eagerly so a typo cannot survive until the first
-    adaptive-method query.
+    Anything else — plain strings included — raises ``ValueError`` eagerly
+    so a typo cannot survive until the first adaptive-method query.
     """
     if isinstance(value, DistanceMode):
         return value
-    if isinstance(value, str):
-        try:
-            mode = DistanceMode(value)
-        except ValueError:
-            raise ValueError(
-                f"unknown adaptive distance mode: {value!r} (expected one of "
-                f"{[m.value for m in DistanceMode]})"
-            ) from None
-        warnings.warn(
-            f"passing distance_mode={value!r} as a string is deprecated; "
-            f"use repro.DistanceMode.{mode.name}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return mode
-    raise ValueError(f"unknown adaptive distance mode: {value!r}")
+    raise ValueError(
+        f"distance_mode must be a repro.DistanceMode, got {value!r}: "
+        f"{_enum_hint(DistanceMode, value)}"
+    )

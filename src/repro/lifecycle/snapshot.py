@@ -102,7 +102,7 @@ class Snapshot:
         if self._engine is None:
             from ..engine import QueryEngine
 
-            self._engine = QueryEngine(self, _internal=True)
+            self._engine = QueryEngine(self)
         return self._engine
 
     # -- lifetime --------------------------------------------------------

@@ -13,7 +13,7 @@ to the multivariate case.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class MultivariateDatabase:
     def __init__(
         self,
         reducer: MultivariateReducer,
-        distance_mode: "Union[DistanceMode, str]" = DistanceMode.LB,
+        distance_mode: DistanceMode = DistanceMode.LB,
     ):
         self.reducer = reducer
         self.distance_mode = distance_mode

@@ -232,7 +232,7 @@ class ShardedEngine:
             shard = SeriesDatabase(
                 reducer,
                 index=None if raw_index is None else IndexKind(raw_index),
-                distance_mode=manifest.get("distance_mode", DistanceMode.PAR),
+                distance_mode=DistanceMode(manifest.get("distance_mode", "par")),
                 max_entries=int(manifest.get("max_entries", 5)),
                 min_entries=int(manifest.get("min_entries", 2)),
             )
@@ -398,7 +398,7 @@ class ShardedEngine:
     def range_query(self, query: np.ndarray, radius: float) -> KNNResult:
         """All series within ``radius`` of ``query``, merged across shards.
 
-        Each shard is frozen (mutations defer) while it scans; hits are
+        Each shard's engine pins its own snapshot while it scans; hits are
         re-keyed to global ids and ordered by the stable
         ``(distance, series id)`` rule.
         """
@@ -409,8 +409,7 @@ class ShardedEngine:
         for s, shard in enumerate(self._shards):
             if shard.data is None:
                 continue
-            with shard.freeze():
-                r = shard.range_query(query, radius)
+            r = shard.range_query(query, radius)
             hits.extend((d, local * n + s) for d, local in zip(r.distances, r.ids))
             n_verified += r.n_verified
             n_total += r.n_total

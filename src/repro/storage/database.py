@@ -31,9 +31,9 @@ class DiskBackedDatabase:
     Args:
         reducer: dimensionality reduction method.
         store_path: backing file for the raw pages.
-        index: an :class:`repro.IndexKind` (or legacy string / ``None``; see
+        index: an :class:`repro.IndexKind` or ``None`` (see
             :class:`repro.index.SeriesDatabase`).
-        distance_mode: a :class:`repro.DistanceMode` (or legacy string).
+        distance_mode: a :class:`repro.DistanceMode`.
         page_size / cache_pages: storage knobs.
     """
 
@@ -41,8 +41,8 @@ class DiskBackedDatabase:
         self,
         reducer: Reducer,
         store_path: PathLike,
-        index: "Union[IndexKind, str, None]" = IndexKind.DBCH,
-        distance_mode: "Union[DistanceMode, str]" = DistanceMode.PAR,
+        index: "Optional[IndexKind]" = IndexKind.DBCH,
+        distance_mode: DistanceMode = DistanceMode.PAR,
         page_size: int = 4096,
         cache_pages: int = 8,
     ):
@@ -126,6 +126,14 @@ class DiskBackedDatabase:
         if self.store is None:
             raise RuntimeError("ingest data before searching")
         return self._inner.knn_batch(queries, options)
+
+    def range_query(self, query: np.ndarray, radius: float) -> KNNResult:
+        """Radius query over the paged store — see
+        :meth:`repro.index.SeriesDatabase.range_query`; every verified
+        candidate reads its page through the cache."""
+        if self.store is None:
+            raise RuntimeError("ingest data before searching")
+        return self._inner.range_query(query, radius)
 
     def ground_truth(self, query: np.ndarray, k: int) -> KNNResult:
         """Exact answer via a full sequential scan (reads every page).

@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps import KNNClassifier
 from repro.data import load_labeled
+from repro.kinds import IndexKind
 from repro.reduction import PAA, SAPLAReducer
 
 
@@ -36,7 +37,7 @@ class TestKNNClassifier:
         assert 0.0 < report.mean_pruning_power <= 1.0
         assert report.predictions.shape == dataset.query_labels.shape
 
-    @pytest.mark.parametrize("index", ["dbch", "rtree", None])
+    @pytest.mark.parametrize("index", [IndexKind.DBCH, IndexKind.RTREE, None], ids=str)
     def test_all_index_kinds(self, dataset, index):
         report = KNNClassifier(PAA(12), k=3, index=index).evaluate(dataset)
         assert report.accuracy >= 0.5

@@ -13,6 +13,7 @@ from repro.apps import (
     windows_overlap,
 )
 from repro.index import SeriesDatabase
+from repro.kinds import DistanceMode
 from repro.reduction import PAA, SAPLAReducer
 
 
@@ -170,7 +171,7 @@ class TestRangeQuery:
     def test_exact_with_guaranteed_bound(self):
         rng = np.random.default_rng(10)
         data = rng.normal(size=(40, 64)).cumsum(axis=1)
-        db = SeriesDatabase(SAPLAReducer(12), index=None, distance_mode="lb")
+        db = SeriesDatabase(SAPLAReducer(12), index=None, distance_mode=DistanceMode.LB)
         db.ingest(data)
         query = data[5] + 0.01
         radius = 5.0

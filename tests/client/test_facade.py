@@ -2,10 +2,7 @@
 
 The same typed :class:`KnnRequest`/:class:`RangeRequest` objects must get
 the same answers from an in-process database, a saved database directory,
-a sharded home, and a live TCP server — and every legacy entry point
-(`repro.knn`, direct ``QueryEngine`` construction, ``save_database`` /
-``load_database``) must route through the facade with a *single-shot*
-``DeprecationWarning``.
+a sharded home, and a live TCP server.
 """
 
 import asyncio
@@ -15,8 +12,6 @@ import warnings
 import numpy as np
 import pytest
 
-import repro
-from repro._deprecations import reset_warned
 from repro.client import (
     KnnRequest,
     LocalClient,
@@ -32,13 +27,6 @@ from repro.reduction import PAA
 from repro.serving import ReproServer, ServerConfig, ShardedEngine
 
 LENGTH = 32
-
-
-@pytest.fixture
-def fresh_warnings():
-    reset_warned()
-    yield
-    reset_warned()
 
 
 def make_db(count=24):
@@ -220,46 +208,9 @@ class TestTcpBackend:
 
 
 class TestDeprecatedEntryPoints:
-    def test_free_knn_warns_once_and_routes(self, fresh_warnings):
-        db = make_db()
-        query = np.asarray(db.data)[4]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = repro.knn(db, query, k=3)
-            second = repro.knn(db, query, k=3)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1  # single-shot
-        assert "repro.client" in str(deprecations[0].message)
-        assert first.ids == second.ids == db.knn(query, 3).ids
-
-    def test_query_engine_construction_warns_once(self, fresh_warnings):
-        from repro.engine import QueryEngine
-
-        db = make_db()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            QueryEngine(db)
-            QueryEngine(db)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-
-    def test_db_engine_accessor_does_not_warn(self, fresh_warnings):
+    def test_db_engine_accessor_does_not_warn(self):
         db = make_db()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             db.engine().knn_batch(np.asarray(db.data)[:1])
         assert not [w for w in caught if w.category is DeprecationWarning]
-
-    def test_save_and_load_database_warn_and_route(self, fresh_warnings, tmp_path):
-        from repro.io import load_database, save_database
-
-        db = make_db()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            save_database(db, tmp_path / "db")
-            loaded = load_database(tmp_path / "db")
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 2  # one per entry point, not per call
-        assert loaded._count == db._count
-        query = np.asarray(db.data)[0]
-        assert loaded.knn(query, 3).ids == db.knn(query, 3).ids

@@ -17,6 +17,7 @@ from repro.distance import (
     project_onto_layout,
     triangle_lower_bound,
 )
+from repro.kinds import DistanceMode
 from repro.reduction import APCA, CHEBY, PAA, PLA, SAPLAReducer
 
 rng = np.random.default_rng(17)
@@ -256,9 +257,9 @@ class TestSuite:
         ctx = QueryContext(series=q, representation=reducer.transform(q))
         rep_c = reducer.transform(c)
         true = euclidean(q, c)
-        lb = make_suite(reducer, "lb").query_bound(ctx, rep_c)
-        par = make_suite(reducer, "par").query_bound(ctx, rep_c)
-        ae = make_suite(reducer, "ae").query_bound(ctx, rep_c)
+        lb = make_suite(reducer, DistanceMode.LB).query_bound(ctx, rep_c)
+        par = make_suite(reducer, DistanceMode.PAR).query_bound(ctx, rep_c)
+        ae = make_suite(reducer, DistanceMode.AE).query_bound(ctx, rep_c)
         assert lb <= true + 1e-9
         assert lb <= par + 1e-6  # tightness ordering
         assert abs(ae - true) < true  # AE approximates closely

@@ -1,14 +1,13 @@
-"""The typed surface: IndexKind / DistanceMode enums and string deprecation.
+"""The typed surface: IndexKind / DistanceMode enums.
 
-Pins the compatibility contract: legacy string arguments keep working but
-emit ``DeprecationWarning``, unknown values fail eagerly, and the enums
-serialise as their plain string values.
+Pins the contract: constructors take the enums only, plain strings and
+unknown values fail eagerly with an error naming the member to use, and
+the enums serialise as their plain string values.
 """
 
 import json
 import warnings
 
-import numpy as np
 import pytest
 
 from repro.distance.suite import make_suite
@@ -43,11 +42,11 @@ class TestCoercion:
             assert coerce_index_kind(IndexKind.NONE) is None
             assert coerce_distance_mode(DistanceMode.AE) is DistanceMode.AE
 
-    def test_strings_coerce_with_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning):
-            assert coerce_index_kind("dbch") is IndexKind.DBCH
-        with pytest.warns(DeprecationWarning):
-            assert coerce_distance_mode("lb") is DistanceMode.LB
+    def test_strings_are_rejected_naming_the_enum(self):
+        with pytest.raises(ValueError, match=r"IndexKind\.DBCH"):
+            coerce_index_kind("dbch")
+        with pytest.raises(ValueError, match=r"DistanceMode\.LB"):
+            coerce_distance_mode("lb")
 
     @pytest.mark.parametrize("value", ["kdtree", "", "DBCH "])
     def test_unknown_index_kind_raises(self, value):
@@ -61,17 +60,13 @@ class TestCoercion:
 
 
 class TestDatabaseSurface:
-    def test_string_arguments_warn_but_behave(self):
-        data = np.random.default_rng(0).normal(size=(10, 32)).cumsum(axis=1)
-        with pytest.warns(DeprecationWarning):
-            legacy = SeriesDatabase(SAPLAReducer(6), index="dbch", distance_mode="lb")
-        typed = SeriesDatabase(
-            SAPLAReducer(6), index=IndexKind.DBCH, distance_mode=DistanceMode.LB
-        )
-        legacy.ingest(data)
-        typed.ingest(data)
-        assert legacy.index_kind is IndexKind.DBCH
-        assert legacy.knn(data[2] + 0.1, 3).ids == typed.knn(data[2] + 0.1, 3).ids
+    def test_string_arguments_are_rejected(self):
+        with pytest.raises(ValueError, match=r"IndexKind\.DBCH"):
+            SeriesDatabase(SAPLAReducer(6), index="dbch")
+        with pytest.raises(ValueError, match=r"DistanceMode\.LB"):
+            SeriesDatabase(SAPLAReducer(6), distance_mode="lb")
+        with pytest.raises(ValueError, match=r"DistanceMode\.AE"):
+            make_suite(SAPLAReducer(6), "ae")
 
     def test_make_suite_validates_mode_eagerly(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from repro.index import SeriesDatabase, bulk_load_dbch, bulk_load_rtree
 from repro.index.entries import Entry
 from repro.index.mbr import Box
+from repro.kinds import IndexKind
 from repro.reduction import SAPLAReducer
 
 
@@ -88,7 +89,7 @@ class TestDatabaseBulkIngest:
         rng = np.random.default_rng(5)
         data = rng.normal(size=(50, 64)).cumsum(axis=1)
         query = data[7] + 0.05
-        for index_kind in ("rtree", "dbch"):
+        for index_kind in (IndexKind.RTREE, IndexKind.DBCH):
             incremental = SeriesDatabase(SAPLAReducer(12), index=index_kind)
             incremental.ingest(data)
             packed = SeriesDatabase(SAPLAReducer(12), index=index_kind)
@@ -100,9 +101,9 @@ class TestDatabaseBulkIngest:
     def test_bulk_tree_is_flatter_or_equal(self):
         rng = np.random.default_rng(6)
         data = rng.normal(size=(60, 64)).cumsum(axis=1)
-        incremental = SeriesDatabase(SAPLAReducer(12), index="rtree")
+        incremental = SeriesDatabase(SAPLAReducer(12), index=IndexKind.RTREE)
         incremental.ingest(data)
-        packed = SeriesDatabase(SAPLAReducer(12), index="rtree")
+        packed = SeriesDatabase(SAPLAReducer(12), index=IndexKind.RTREE)
         packed.ingest(data, bulk=True)
         assert packed.tree.height <= incremental.tree.height
         assert packed.tree.node_counts()["total"] <= incremental.tree.node_counts()["total"]

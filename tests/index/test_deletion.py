@@ -6,6 +6,7 @@ import pytest
 from repro.index import RTree, SeriesDatabase
 from repro.index.dbch import DBCHTree
 from repro.index.entries import Entry
+from repro.kinds import IndexKind
 from repro.reduction import SAPLAReducer
 
 from .test_rtree import check_invariants as check_rtree
@@ -93,7 +94,7 @@ class TestDBCHDeletion:
 class TestDatabaseDeletion:
     def test_deleted_series_never_returned(self):
         data = np.random.default_rng(5).normal(size=(30, 64)).cumsum(axis=1)
-        db = SeriesDatabase(SAPLAReducer(12), index="dbch")
+        db = SeriesDatabase(SAPLAReducer(12), index=IndexKind.DBCH)
         db.ingest(data)
         assert db.delete(3)
         result = db.knn(data[3], 5)
@@ -104,7 +105,7 @@ class TestDatabaseDeletion:
 
     def test_delete_missing_returns_false(self):
         data = np.random.default_rng(6).normal(size=(10, 32))
-        db = SeriesDatabase(SAPLAReducer(12), index="rtree")
+        db = SeriesDatabase(SAPLAReducer(12), index=IndexKind.RTREE)
         db.ingest(data)
         assert not db.delete(42)
 

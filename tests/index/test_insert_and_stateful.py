@@ -7,19 +7,20 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from hypothesis import strategies as st
 
 from repro.index import SeriesDatabase
+from repro.kinds import IndexKind
 from repro.reduction import PAA, SAPLAReducer
 
 
 class TestInsert:
     def test_insert_into_empty(self):
-        db = SeriesDatabase(SAPLAReducer(12), index="dbch")
+        db = SeriesDatabase(SAPLAReducer(12), index=IndexKind.DBCH)
         series = np.random.default_rng(0).normal(size=32)
         assert db.insert(series) == 0
         assert db.knn(series, 1).ids == [0]
 
     def test_insert_after_ingest(self):
         data = np.random.default_rng(1).normal(size=(10, 32)).cumsum(axis=1)
-        db = SeriesDatabase(SAPLAReducer(12), index="rtree")
+        db = SeriesDatabase(SAPLAReducer(12), index=IndexKind.RTREE)
         db.ingest(data)
         new = data[0] * -2.0
         new_id = db.insert(new)
@@ -34,7 +35,7 @@ class TestInsert:
 
     def test_ids_stable_after_delete(self):
         data = np.random.default_rng(2).normal(size=(5, 16))
-        db = SeriesDatabase(PAA(8), index="dbch")
+        db = SeriesDatabase(PAA(8), index=IndexKind.DBCH)
         db.ingest(data)
         db.delete(2)
         new_id = db.insert(np.random.default_rng(3).normal(size=16))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.index import SeriesDatabase, linear_scan
+from repro.kinds import DistanceMode, IndexKind
 from repro.reduction import PAA, PLA, SAPLAReducer, APCA
 
 
@@ -50,7 +51,7 @@ class TestKNNResult:
         assert empty.pruning_power == 0.0
 
 
-@pytest.mark.parametrize("index_kind", [None, "rtree", "dbch"])
+@pytest.mark.parametrize("index_kind", [None, IndexKind.RTREE, IndexKind.DBCH], ids=str)
 @pytest.mark.parametrize("reducer_cls", [SAPLAReducer, APCA, PLA, PAA], ids=lambda c: c.name)
 class TestSearchModes:
     def test_search_runs_and_returns_k(self, index_kind, reducer_cls):
@@ -75,7 +76,7 @@ class TestGuarantees:
     def test_filtered_scan_with_guaranteed_lb_is_exact(self):
         """GEMINI with a true lower bound and no tree never misses."""
         data = dataset(count=60, seed=5)
-        db = SeriesDatabase(SAPLAReducer(12), index=None, distance_mode="lb")
+        db = SeriesDatabase(SAPLAReducer(12), index=None, distance_mode=DistanceMode.LB)
         db.ingest(data)
         rng = np.random.default_rng(6)
         for _ in range(5):
@@ -88,7 +89,7 @@ class TestGuarantees:
     def test_filtered_scan_prunes(self):
         """The lower bound must actually skip most raw verifications."""
         data = dataset(count=100, seed=7)
-        db = SeriesDatabase(SAPLAReducer(12), index=None, distance_mode="lb")
+        db = SeriesDatabase(SAPLAReducer(12), index=None, distance_mode=DistanceMode.LB)
         db.ingest(data)
         result = db.knn(data[0] + 0.01, 1)
         assert result.pruning_power < 0.8
@@ -115,7 +116,7 @@ class TestPaperComparisons:
         return db, data
 
     def test_dbch_accuracy_reasonable_for_adaptive(self):
-        db, data = self.build("dbch")
+        db, data = self.build(IndexKind.DBCH)
         rng = np.random.default_rng(10)
         accs = []
         for _ in range(5):
@@ -127,8 +128,8 @@ class TestPaperComparisons:
     def test_dbch_leaves_fuller_than_rtree(self):
         """Fig. 15: DBCH leaves pack ~4 entries, R-tree leaves ~2, for
         adaptive representations."""
-        db_r, _ = self.build("rtree")
-        db_d, _ = self.build("dbch")
+        db_r, _ = self.build(IndexKind.RTREE)
+        db_d, _ = self.build(IndexKind.DBCH)
         r_counts = db_r.tree.node_counts()
         d_counts = db_d.tree.node_counts()
         r_fill = len(db_r.entries) / r_counts["leaf"]

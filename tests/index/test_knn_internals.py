@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.index import SeriesDatabase
+from repro.kinds import DistanceMode, IndexKind
 from repro.reduction import SAPLAReducer
 
 
@@ -14,7 +15,7 @@ def dataset(count=40, n=64, seed=0):
 
 class TestNodesVisited:
     def test_tree_search_reports_visits(self):
-        db = SeriesDatabase(SAPLAReducer(12), index="dbch")
+        db = SeriesDatabase(SAPLAReducer(12), index=IndexKind.DBCH)
         db.ingest(dataset())
         result = db.knn(dataset()[0], 3)
         assert result.nodes_visited >= 1
@@ -32,8 +33,12 @@ class TestDistanceModes:
         skip the true nearest neighbour — the failure Fig. 10 warns about."""
         rng = np.random.default_rng(2)
         base = rng.normal(size=(30, 64)).cumsum(axis=1)
-        db_ae = SeriesDatabase(SAPLAReducer(12), index=None, distance_mode="ae")
-        db_lb = SeriesDatabase(SAPLAReducer(12), index=None, distance_mode="lb")
+        db_ae = SeriesDatabase(
+            SAPLAReducer(12), index=None, distance_mode=DistanceMode.AE
+        )
+        db_lb = SeriesDatabase(
+            SAPLAReducer(12), index=None, distance_mode=DistanceMode.LB
+        )
         db_ae.ingest(base)
         db_lb.ingest(base)
         accs_ae, accs_lb = [], []
@@ -48,7 +53,7 @@ class TestDistanceModes:
     def test_par_mode_prunes_at_least_as_well_as_lb(self):
         data = dataset(count=60, seed=3)
         prunes = {}
-        for mode in ("par", "lb"):
+        for mode in (DistanceMode.PAR, DistanceMode.LB):
             db = SeriesDatabase(SAPLAReducer(12), index=None, distance_mode=mode)
             db.ingest(data)
             prunes[mode] = np.mean(
@@ -59,14 +64,14 @@ class TestDistanceModes:
 
 class TestEdgeCases:
     def test_k_zero_rejected(self):
-        db = SeriesDatabase(SAPLAReducer(12), index="dbch")
+        db = SeriesDatabase(SAPLAReducer(12), index=IndexKind.DBCH)
         db.ingest(dataset(seed=4))
         with pytest.raises(ValueError):
             db.knn(dataset(seed=4)[0], 0)
 
     def test_duplicate_series_all_retrievable(self):
         data = np.tile(dataset(count=1, seed=5), (6, 1))
-        db = SeriesDatabase(SAPLAReducer(12), index="dbch")
+        db = SeriesDatabase(SAPLAReducer(12), index=IndexKind.DBCH)
         db.ingest(data)
         result = db.knn(data[0], 6)
         assert sorted(result.ids) == list(range(6))

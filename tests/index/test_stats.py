@@ -12,6 +12,7 @@ from repro.index import (
 )
 from repro.index.dbch import DBCHTree
 from repro.index.entries import Entry
+from repro.kinds import IndexKind
 from repro.reduction import SAPLAReducer
 
 
@@ -58,7 +59,7 @@ class TestDBCHOverlap:
     def test_on_representations(self):
         rng = np.random.default_rng(4)
         data = rng.normal(size=(30, 64)).cumsum(axis=1)
-        db = SeriesDatabase(SAPLAReducer(12), index="dbch")
+        db = SeriesDatabase(SAPLAReducer(12), index=IndexKind.DBCH)
         db.ingest(data)
         assert 0.0 <= dbch_overlap(db.tree) <= 1.0
 

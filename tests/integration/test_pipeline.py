@@ -6,6 +6,7 @@ import pytest
 from repro.data import UCRLikeArchive
 from repro.distance import dist_lb, dist_par, euclidean
 from repro.index import SeriesDatabase
+from repro.kinds import IndexKind
 from repro.metrics import max_deviation
 from repro.reduction import REDUCERS, SAPLAReducer
 
@@ -19,7 +20,7 @@ class TestEndToEnd:
     @pytest.mark.parametrize("name", ["ECG200", "Adiac", "EOGHorizontalSignal"])
     def test_full_pipeline(self, archive, name):
         dataset = archive.load(name)
-        db = SeriesDatabase(SAPLAReducer(12), index="dbch")
+        db = SeriesDatabase(SAPLAReducer(12), index=IndexKind.DBCH)
         db.ingest(dataset.data)
         for query in dataset.queries:
             truth = db.ground_truth(query, 4)
@@ -31,7 +32,7 @@ class TestEndToEnd:
     def test_every_method_end_to_end(self, archive):
         dataset = archive.load("Car")
         for name, cls in REDUCERS.items():
-            db = SeriesDatabase(cls(12), index="dbch")
+            db = SeriesDatabase(cls(12), index=IndexKind.DBCH)
             db.ingest(dataset.data)
             result = db.knn(dataset.queries[0], 3)
             assert len(result.ids) == 3, name
@@ -77,7 +78,7 @@ class TestEndToEnd:
 class TestRobustness:
     def test_flat_dataset(self):
         data = np.zeros((10, 64))
-        db = SeriesDatabase(SAPLAReducer(12), index="dbch")
+        db = SeriesDatabase(SAPLAReducer(12), index=IndexKind.DBCH)
         db.ingest(data)
         result = db.knn(np.zeros(64), 3)
         assert len(result.ids) == 3
@@ -85,7 +86,7 @@ class TestRobustness:
 
     def test_single_series_collection(self):
         data = np.random.default_rng(0).normal(size=(1, 64))
-        for index_kind in ("rtree", "dbch", None):
+        for index_kind in (IndexKind.RTREE, IndexKind.DBCH, None):
             db = SeriesDatabase(SAPLAReducer(12), index=index_kind)
             db.ingest(data)
             result = db.knn(data[0], 1)
@@ -94,14 +95,14 @@ class TestRobustness:
     def test_extreme_values(self):
         rng = np.random.default_rng(1)
         data = rng.normal(size=(8, 64)) * 1e6
-        db = SeriesDatabase(SAPLAReducer(12), index="dbch")
+        db = SeriesDatabase(SAPLAReducer(12), index=IndexKind.DBCH)
         db.ingest(data)
         result = db.knn(data[2], 2)
         assert result.ids[0] == 2
 
     def test_short_series_collection(self):
         data = np.random.default_rng(2).normal(size=(12, 8))
-        db = SeriesDatabase(SAPLAReducer(12), index="dbch")
+        db = SeriesDatabase(SAPLAReducer(12), index=IndexKind.DBCH)
         db.ingest(data)
         result = db.knn(data[5], 3)
         assert result.ids[0] == 5

@@ -15,10 +15,11 @@ def test_readme_quickstart():
     approx = representation.reconstruct()
     assert approx.shape == series.shape
 
+    from repro import IndexKind
     from repro.index import SeriesDatabase
     from repro.reduction import SAPLAReducer
 
-    db = SeriesDatabase(SAPLAReducer(18), index="dbch")
+    db = SeriesDatabase(SAPLAReducer(18), index=IndexKind.DBCH)
     db.ingest(
         np.stack(
             [

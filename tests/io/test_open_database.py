@@ -2,8 +2,7 @@
 
 One directory format for both database flavours — ``open_database`` reads
 ``config.json`` and hands back a :class:`SeriesDatabase` or a
-:class:`DiskBackedDatabase` as recorded at save time.  The old
-``save_database`` / ``load_database`` names stay as deprecated aliases.
+:class:`DiskBackedDatabase` as recorded at save time.
 """
 
 import json
@@ -13,7 +12,7 @@ import pytest
 
 from repro.engine import QueryOptions
 from repro.index import SeriesDatabase
-from repro.io import load_database, open_database, save_database
+from repro.io import open_database
 from repro.kinds import DistanceMode, IndexKind
 from repro.reduction import PAA, SAPLAReducer
 from repro.storage import DiskBackedDatabase
@@ -76,28 +75,3 @@ class TestUnifiedRoundTrip:
         db = SeriesDatabase(PAA(6), index=None)
         with pytest.raises(ValueError):
             db.save(tmp_path / "db")
-
-
-class TestDeprecatedAliases:
-    @pytest.fixture(autouse=True)
-    def _fresh_warnings(self):
-        """The aliases warn once per process; forget earlier tests' calls."""
-        from repro._deprecations import reset_warned
-
-        reset_warned()
-
-    def test_save_database_warns_and_works(self, tmp_path):
-        db = SeriesDatabase(PAA(6), index=None)
-        db.ingest(dataset())
-        with pytest.warns(DeprecationWarning):
-            save_database(db, tmp_path / "db")
-        assert (tmp_path / "db" / "config.json").exists()
-
-    def test_load_database_warns_and_works(self, tmp_path):
-        data = dataset()
-        db = SeriesDatabase(PAA(6), index=None)
-        db.ingest(data)
-        db.save(tmp_path / "db")
-        with pytest.warns(DeprecationWarning):
-            loaded = load_database(tmp_path / "db")
-        assert loaded.knn(data[0], 2).ids == db.knn(data[0], 2).ids

@@ -5,6 +5,7 @@ import pytest
 
 from repro import obs
 from repro.index import SeriesDatabase
+from repro.kinds import DistanceMode, IndexKind
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanRecorder
 from repro.reduction import SAPLAReducer
@@ -31,7 +32,7 @@ class TestKNNInstrumentation:
     def test_dbch_search_fills_the_core_counters(self):
         data = dataset()
         with obs.capture() as session:
-            db = SeriesDatabase(SAPLAReducer(12), index="dbch")
+            db = SeriesDatabase(SAPLAReducer(12), index=IndexKind.DBCH)
             db.ingest(data)
             for i in range(3):
                 db.knn(data[i] + 0.05, 4)
@@ -50,7 +51,7 @@ class TestKNNInstrumentation:
         """entries_refined / total must equal the reported pruning power."""
         data = dataset(seed=1)
         with obs.capture() as session:
-            db = SeriesDatabase(SAPLAReducer(12), index="dbch")
+            db = SeriesDatabase(SAPLAReducer(12), index=IndexKind.DBCH)
             db.ingest(data)
             result = db.knn(data[0] + 0.1, 4)
         counters = session.report().counters
@@ -62,14 +63,16 @@ class TestKNNInstrumentation:
     def test_rtree_and_filtered_scan_paths(self):
         data = dataset(seed=2)
         with obs.capture() as session:
-            db = SeriesDatabase(SAPLAReducer(12), index="rtree")
+            db = SeriesDatabase(SAPLAReducer(12), index=IndexKind.RTREE)
             db.ingest(data)
             db.knn(data[0], 3)
         counters = session.report().counters
         assert counters["rtree.inserts"] == len(data)
         assert counters["rtree.mbr_recomputations"] > 0
         with obs.capture() as session:
-            db = SeriesDatabase(SAPLAReducer(12), index=None, distance_mode="lb")
+            db = SeriesDatabase(
+                SAPLAReducer(12), index=None, distance_mode=DistanceMode.LB
+            )
             db.ingest(data)
             db.knn(data[0] + 0.2, 3)
         counters = session.report().counters
@@ -81,7 +84,7 @@ class TestKNNInstrumentation:
         data = dataset(seed=3)
         with obs.capture():
             with obs.span("cli.knn"):
-                db = SeriesDatabase(SAPLAReducer(12), index="dbch")
+                db = SeriesDatabase(SAPLAReducer(12), index=IndexKind.DBCH)
                 db.ingest(data)
                 for i in range(3):
                     db.knn(data[i], 4)
@@ -91,7 +94,7 @@ class TestKNNInstrumentation:
 
     def test_disabled_pipeline_records_nothing(self):
         data = dataset(seed=4)
-        db = SeriesDatabase(SAPLAReducer(12), index="dbch")
+        db = SeriesDatabase(SAPLAReducer(12), index=IndexKind.DBCH)
         db.ingest(data)
         db.knn(data[0], 3)
         snap = obs.registry().snapshot()
@@ -104,7 +107,7 @@ class TestStorageInstrumentation:
         data = dataset(count=16, n=128, seed=5)
         with obs.capture() as session:
             db = DiskBackedDatabase(
-                SAPLAReducer(12), tmp_path / "store.bin", index="dbch",
+                SAPLAReducer(12), tmp_path / "store.bin", index=IndexKind.DBCH,
                 page_size=512, cache_pages=2,
             )
             db.ingest(data)

@@ -10,6 +10,7 @@ from repro.core.areas import area_between_lines
 from repro.core.linefit import LineFit
 from repro.distance import dist_lb, dist_par, euclidean
 from repro.index import SeriesDatabase
+from repro.kinds import DistanceMode
 from repro.reduction import APCA, PAA, PLA, SAPLAReducer
 
 finite = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False)
@@ -120,7 +121,7 @@ class TestSearchInvariants:
     def test_exact_scan_never_misses(self, seed):
         rng = np.random.default_rng(seed)
         data = rng.normal(size=(20, 32)).cumsum(axis=1)
-        db = SeriesDatabase(SAPLAReducer(9), index=None, distance_mode="lb")
+        db = SeriesDatabase(SAPLAReducer(9), index=None, distance_mode=DistanceMode.LB)
         db.ingest(data)
         query = data[int(rng.integers(20))] + rng.normal(scale=0.1, size=32)
         got = db.knn(query, 3)

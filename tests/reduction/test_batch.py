@@ -1,18 +1,18 @@
-"""Batch transforms must match the per-row reducers exactly."""
+"""``transform_batch`` on the equal-length methods must match per-row reducers."""
 
 import numpy as np
 import pytest
 
 from repro.index import SeriesDatabase
+from repro.kinds import IndexKind
 from repro.reduction import PAA, PLA
-from repro.reduction.batch import batch_paa, batch_pla
 
 DATA = np.random.default_rng(0).normal(size=(12, 97)).cumsum(axis=1)
 
 
 class TestBatchPAA:
     def test_matches_per_row(self):
-        batch = batch_paa(DATA, 12)
+        batch = PAA(12).transform_batch(DATA)
         reducer = PAA(12)
         for row, rep in zip(DATA, batch):
             ref = reducer.transform(row)
@@ -21,12 +21,12 @@ class TestBatchPAA:
 
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
-            batch_paa(DATA[0], 12)
+            PAA(12).transform_batch(DATA[0])
 
 
 class TestBatchPLA:
     def test_matches_per_row(self):
-        batch = batch_pla(DATA, 12)
+        batch = PLA(12).transform_batch(DATA)
         reducer = PLA(12)
         for row, rep in zip(DATA, batch):
             ref = reducer.transform(row)
@@ -35,11 +35,11 @@ class TestBatchPLA:
 
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
-            batch_pla(DATA[0], 12)
+            PLA(12).transform_batch(DATA[0])
 
     def test_short_series(self):
         tiny = np.random.default_rng(1).normal(size=(3, 5))
-        batch = batch_pla(tiny, 12)
+        batch = PLA(12).transform_batch(tiny)
         reducer = PLA(12)
         for row, rep in zip(tiny, batch):
             np.testing.assert_allclose(
@@ -49,8 +49,8 @@ class TestBatchPLA:
 
 class TestIngestIntegration:
     def test_precomputed_batch_feeds_ingest(self):
-        reps = batch_paa(DATA, 12)
-        db = SeriesDatabase(PAA(12), index="dbch")
+        reps = PAA(12).transform_batch(DATA)
+        db = SeriesDatabase(PAA(12), index=IndexKind.DBCH)
         db.ingest(DATA, representations=reps)
         result = db.knn(DATA[3], 1)
         assert result.ids == [3]

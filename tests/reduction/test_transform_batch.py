@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.index import SeriesDatabase
+from repro.kinds import IndexKind
 from repro.reduction import REDUCERS, reduce_rows
 from repro.reduction.base import Reducer
 
@@ -158,10 +159,10 @@ class TestDatabaseEquivalence:
         data = _matrix(rng, 28, 48)
         queries = _matrix(rng, 4, 48)
 
-        bulk_db = SeriesDatabase(REDUCERS[name](12), index="dbch")
+        bulk_db = SeriesDatabase(REDUCERS[name](12), index=IndexKind.DBCH)
         bulk_db.ingest(data, bulk=True)
 
-        incremental = SeriesDatabase(REDUCERS[name](12), index="dbch")
+        incremental = SeriesDatabase(REDUCERS[name](12), index=IndexKind.DBCH)
         incremental.ingest(data[:1])
         for row in data[1:]:
             incremental.insert(row)
@@ -178,9 +179,9 @@ class TestDatabaseEquivalence:
         data = _matrix(rng, 16, 48)
         extra = _matrix(rng, 6, 48)
 
-        loop_db = SeriesDatabase(REDUCERS["SAPLA"](12), index="dbch")
+        loop_db = SeriesDatabase(REDUCERS["SAPLA"](12), index=IndexKind.DBCH)
         loop_db.ingest(data)
-        batch_db = SeriesDatabase(REDUCERS["SAPLA"](12), index="dbch")
+        batch_db = SeriesDatabase(REDUCERS["SAPLA"](12), index=IndexKind.DBCH)
         batch_db.ingest(data)
 
         loop_ids = [loop_db.insert(row) for row in extra]

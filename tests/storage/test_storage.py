@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.reduction import SAPLAReducer
+from repro.kinds import DistanceMode, IndexKind
+from repro.reduction import PAA, SAPLAReducer
 from repro.storage import DiskBackedDatabase, PagedSeriesStore
 
 DATA = np.random.default_rng(0).normal(size=(40, 64)).cumsum(axis=1)
@@ -69,9 +70,11 @@ class TestDiskBackedDatabase:
     def test_search_matches_memory_database(self, tmp_path):
         from repro.index import SeriesDatabase
 
-        disk = DiskBackedDatabase(SAPLAReducer(12), tmp_path / "db.bin", index="dbch")
+        disk = DiskBackedDatabase(
+            SAPLAReducer(12), tmp_path / "db.bin", index=IndexKind.DBCH
+        )
         disk.ingest(DATA)
-        memory = SeriesDatabase(SAPLAReducer(12), index="dbch")
+        memory = SeriesDatabase(SAPLAReducer(12), index=IndexKind.DBCH)
         memory.ingest(DATA)
         query = DATA[5] + 0.05
         a = disk.knn(query, 4)
@@ -79,9 +82,31 @@ class TestDiskBackedDatabase:
         assert a.ids == b.ids
         assert a.distances == pytest.approx(b.distances)
 
+    @pytest.mark.parametrize("index", [None, IndexKind.DBCH, IndexKind.RTREE], ids=str)
+    def test_range_query_matches_brute_force(self, tmp_path, index):
+        """Range on a disk-backed database, direct and through the client
+        facade, returns the brute-force in-radius set bit for bit."""
+        from repro.client import RangeRequest, connect
+        from repro.index import linear_scan
+
+        disk = DiskBackedDatabase(PAA(8), tmp_path / "db.bin", index=index)
+        disk.ingest(DATA)
+        query = DATA[5] + np.random.default_rng(1).normal(scale=0.05, size=64)
+        radius = linear_scan(DATA, query, 6).distances[-1]
+        distances = np.linalg.norm(DATA - query[None, :], axis=1)
+        truth = sorted((float(d), i) for i, d in enumerate(distances) if d <= radius)
+        direct = disk.range_query(query, radius)
+        assert list(zip(direct.distances, direct.ids)) == truth
+        via_client = connect(disk).range(RangeRequest(query, radius))
+        assert list(zip(via_client.distances, via_client.ids)) == truth
+        assert direct.n_verified < len(DATA)
+
     def test_io_tracks_verifications(self, tmp_path):
         disk = DiskBackedDatabase(
-            SAPLAReducer(12), tmp_path / "db.bin", index=None, distance_mode="lb"
+            SAPLAReducer(12),
+            tmp_path / "db.bin",
+            index=None,
+            distance_mode=DistanceMode.LB,
         )
         disk.ingest(DATA)
         disk.reset_io()
